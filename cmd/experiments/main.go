@@ -282,7 +282,7 @@ func main() {
 		}
 	}
 	if coord != nil {
-		coord.Close() // polling workers receive shutdown on their next lease request
+		coord.Close() // waiting workers receive shutdown in reply to their lease request
 		c := coord.Board().Counters()
 		fmt.Printf("fleet: %d unique cell(s) leased to workers (%d completion(s), %d requeue(s))\n",
 			c.Submitted-c.Deduped, c.Completions, c.Requeues)
@@ -339,7 +339,7 @@ func runFleetWorker(addr, name, storeURL, cachedir string, nocache bool) int {
 	rc.AttachStore(st)
 	fmt.Fprintf(os.Stderr, "worker %s: leasing cells from %s, publishing to %s\n", name, addr, storeURL)
 	ws, err := sweepfab.RunWorker(addr, sweepfab.WorkerConfig{Name: name, Exec: experiment.Exec{Cache: rc}})
-	fmt.Fprintf(os.Stderr, "worker %s: ran %d cell(s) (%d failed, %d stale), %d idle poll(s)\n",
+	fmt.Fprintf(os.Stderr, "worker %s: ran %d cell(s) (%d failed, %d stale), %d empty lease wait(s)\n",
 		name, ws.Cells, ws.Failed, ws.StaleLeases, ws.Waits)
 	fmt.Fprintln(os.Stderr, rc.ReportLine())
 	if err != nil {

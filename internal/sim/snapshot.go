@@ -29,14 +29,14 @@ const (
 // ErrBadSnapshot reports a snapshot whose envelope failed validation.
 var ErrBadSnapshot = errors.New("sim: malformed snapshot")
 
-// sealSnapshot wraps a walker payload in the checksummed envelope.
-func sealSnapshot(payload []byte) []byte {
-	out := make([]byte, snapHdrLen, snapHdrLen+len(payload))
+// sealSnapshot fills the envelope header reserved at the front of out
+// for the walker payload that follows it.
+func sealSnapshot(out []byte) {
+	payload := out[snapHdrLen:]
 	binary.LittleEndian.PutUint32(out[0:4], snapMagic)
 	binary.LittleEndian.PutUint32(out[4:8], snapVersion)
 	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
 }
 
 // openSnapshot validates the envelope and returns the walker payload.
@@ -80,13 +80,21 @@ func (s *System) Snapshot() ([]byte, error) {
 		}
 		c.clampLoadDone(s.cycle)
 	}
-	w := snap.NewEncoder()
-	s.snapshotWalk(w)
-	payload, err := w.Bytes()
+	// One exactly sized buffer holds the header and the payload: a
+	// sizing pass first, so the megabyte-scale stream is never regrown
+	// or copied into a separate envelope.
+	n, err := snap.Size(s.snapshotWalk)
 	if err != nil {
 		return nil, err
 	}
-	return sealSnapshot(payload), nil
+	w := snap.AppendEncoder(make([]byte, snapHdrLen, snapHdrLen+n))
+	s.snapshotWalk(w)
+	out, err := w.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	sealSnapshot(out)
+	return out, nil
 }
 
 // Restore loads a Snapshot into a fresh (never-run) system built from

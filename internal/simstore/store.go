@@ -254,7 +254,20 @@ func writeAtomic(path string, blob []byte) error {
 //	magic[4] version[u32] kind[u8] keyLen[u32] key[keyLen]
 //	gzip(payload)... crc[u32]
 //
-// crc is CRC-32 (IEEE) over everything preceding it.
+// crc is CRC-32 (IEEE) over everything preceding it. The gzip level is
+// not part of the format: entries are written at BestSpeed (snapshots
+// are megabytes of mostly zeros, where the default level costs several
+// times the time for entries ~12% smaller), and any level decodes.
+
+// gzWriters and gzReaders recycle codec state across entries: a fresh
+// gzip.Writer allocates its compression tables on every entry.
+var (
+	gzWriters = sync.Pool{New: func() any {
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid constant level cannot fail
+		return zw
+	}}
+	gzReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
 
 func encodeEntry(kind uint8, key string, payload []byte) ([]byte, error) {
 	var buf bytes.Buffer
@@ -265,7 +278,9 @@ func encodeEntry(kind uint8, key string, payload []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(key)))
 	buf.Write(hdr[:])
 	buf.WriteString(key)
-	zw := gzip.NewWriter(&buf)
+	zw := gzWriters.Get().(*gzip.Writer)
+	defer gzWriters.Put(zw)
+	zw.Reset(&buf)
 	if _, err := zw.Write(payload); err != nil {
 		return nil, err
 	}
@@ -303,8 +318,9 @@ func decodeEntry(raw []byte, kind uint8, key string) ([]byte, error) {
 	if got := string(body[headerLen : headerLen+keyLen]); got != key {
 		return nil, fmt.Errorf("key mismatch: entry holds %q", got)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(body[headerLen+keyLen:]))
-	if err != nil {
+	zr := gzReaders.Get().(*gzip.Reader)
+	defer gzReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(body[headerLen+keyLen:])); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
 	payload, err := io.ReadAll(zr)

@@ -2,6 +2,7 @@ package simstore
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
 	"log"
@@ -140,6 +141,49 @@ func TestVersionMismatch(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats = %+v; want 1 corrupt", st)
+	}
+}
+
+// TestDefaultLevelEntryDecodes pins that the gzip level is not part of
+// the entry format: an entry compressed at gzip's default level, as
+// stores wrote before entries moved to BestSpeed, still loads.
+func TestDefaultLevelEntryDecodes(t *testing.T) {
+	s := openTemp(t)
+	payload := make([]byte, 1<<16)
+	for i := range payload {
+		if i%61 == 0 {
+			payload[i] = byte(i)
+		}
+	}
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	var hdr [9]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], version)
+	hdr[4] = kindSnapshot
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len("k")))
+	buf.Write(hdr[:])
+	buf.WriteString("k")
+	zw := gzip.NewWriter(&buf)
+	zw.Write(payload)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(crc[:])
+	fresh, err := encodeEntry(kindSnapshot, "k", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(fresh, buf.Bytes()) {
+		t.Fatal("test entry is not a default-level stream: BestSpeed wrote the same bytes")
+	}
+	if err := os.WriteFile(s.path(kindSnapshot, "k"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.LoadSnapshot("k")
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("default-level entry: hit %v, payload equal %v", ok, bytes.Equal(got, payload))
 	}
 }
 

@@ -36,14 +36,70 @@ const maxLen = 1 << 24
 // check errors mid-walk — callers inspect Err (or Finish) at the end.
 type Walker struct {
 	encoding bool
-	buf      []byte // encode: output; decode: input
-	off      int    // decode: read cursor
-	err      error
+	// sizing marks the counting encoder Size runs: bulk walks add their
+	// byte count to sized instead of appending.
+	sizing bool
+	buf    []byte // encode: output; decode: input
+	off    int    // decode: read cursor
+	sized  int    // sizing: bytes counted and dropped from buf so far
+	err    error
 }
 
 // NewEncoder returns a walker that appends walked fields to an
 // internal buffer, retrieved with Bytes.
 func NewEncoder() *Walker { return &Walker{encoding: true} }
+
+// AppendEncoder returns a walker that appends walked fields to dst and
+// returns the extended slice from Bytes. A caller that presizes dst's
+// capacity (see Size) gets the whole stream in that one buffer, after
+// any header bytes it reserved at the front.
+func AppendEncoder(dst []byte) *Walker { return &Walker{encoding: true, buf: dst} }
+
+// Size returns the number of bytes walk encodes, without building the
+// stream: the bulk slice walks are counted, not copied, so sizing a
+// large machine costs one pass over its field list and a buffer only
+// as long as its longest run of scalar fields.
+func Size(walk func(*Walker)) (int, error) {
+	w := &Walker{encoding: true, sizing: true}
+	walk(w)
+	return w.sized + len(w.buf), w.err
+}
+
+// reserve makes room for an n-byte bulk write and returns the offset it
+// starts at, or -1 when the walk is sizing (the bytes are counted
+// instead; scalar bytes buffered so far are folded into the count, so
+// the sizing buffer never holds more than one run of scalars).
+//
+//ppflint:hotpath
+func (w *Walker) reserve(n int) int {
+	if w.sizing {
+		w.sized += len(w.buf) + n
+		w.buf = w.buf[:0]
+		return -1
+	}
+	off := len(w.buf)
+	if cap(w.buf)-off < n {
+		w.buf = grow(w.buf, n)
+	}
+	w.buf = w.buf[:off+n]
+	return off
+}
+
+// grow returns buf with room for n more bytes: at least double its
+// capacity, so a stream encoded without a Size presizing still copies
+// each byte a bounded number of times. It allocates, so it stays out of
+// line of the //ppflint:hotpath walks that call it.
+//
+//go:noinline
+func grow(buf []byte, n int) []byte {
+	c := 2 * cap(buf)
+	if c < len(buf)+n {
+		c = len(buf) + n
+	}
+	out := make([]byte, len(buf), c)
+	copy(out, buf)
+	return out
+}
 
 // NewDecoder returns a walker that assigns walked fields from data.
 func NewDecoder(data []byte) *Walker { return &Walker{buf: data} }
@@ -305,8 +361,10 @@ func (w *Walker) LenCapped(v *int, max int) {
 func (w *Walker) Uint64s(v []uint64) {
 	if w.encoding {
 		if w.err == nil {
-			for _, x := range v {
-				w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
+			if off := w.reserve(8 * len(v)); off >= 0 {
+				for i, x := range v {
+					binary.LittleEndian.PutUint64(w.buf[off+8*i:], x)
+				}
 			}
 		}
 		return
@@ -323,8 +381,10 @@ func (w *Walker) Uint64s(v []uint64) {
 func (w *Walker) Uint16s(v []uint16) {
 	if w.encoding {
 		if w.err == nil {
-			for _, x := range v {
-				w.buf = binary.LittleEndian.AppendUint16(w.buf, x)
+			if off := w.reserve(2 * len(v)); off >= 0 {
+				for i, x := range v {
+					binary.LittleEndian.PutUint16(w.buf[off+2*i:], x)
+				}
 			}
 		}
 		return
@@ -341,7 +401,9 @@ func (w *Walker) Uint16s(v []uint16) {
 func (w *Walker) Uint8s(v []uint8) {
 	if w.encoding {
 		if w.err == nil {
-			w.buf = append(w.buf, v...)
+			if off := w.reserve(len(v)); off >= 0 {
+				copy(w.buf[off:], v)
+			}
 		}
 		return
 	}
@@ -355,8 +417,10 @@ func (w *Walker) Uint8s(v []uint8) {
 func (w *Walker) Int8s(v []int8) {
 	if w.encoding {
 		if w.err == nil {
-			for _, x := range v {
-				w.buf = append(w.buf, uint8(x))
+			if off := w.reserve(len(v)); off >= 0 {
+				for i, x := range v {
+					w.buf[off+i] = uint8(x)
+				}
 			}
 		}
 		return
@@ -371,20 +435,60 @@ func (w *Walker) Int8s(v []int8) {
 
 // Int16s walks a fixed-length []int16 in place.
 func (w *Walker) Int16s(v []int16) {
-	for i := range v {
-		w.Int16(&v[i])
+	if w.encoding {
+		if w.err == nil {
+			if off := w.reserve(2 * len(v)); off >= 0 {
+				for i, x := range v {
+					binary.LittleEndian.PutUint16(w.buf[off+2*i:], uint16(x))
+				}
+			}
+		}
+		return
+	}
+	if w.need(2 * len(v)) {
+		for i := range v {
+			v[i] = int16(binary.LittleEndian.Uint16(w.buf[w.off:]))
+			w.off += 2
+		}
 	}
 }
 
 // Ints walks a fixed-length []int in place at 64-bit width.
 func (w *Walker) Ints(v []int) {
-	for i := range v {
-		w.Int(&v[i])
+	if w.encoding {
+		if w.err == nil {
+			if off := w.reserve(8 * len(v)); off >= 0 {
+				for i, x := range v {
+					binary.LittleEndian.PutUint64(w.buf[off+8*i:], uint64(int64(x)))
+				}
+			}
+		}
+		return
+	}
+	if w.need(8 * len(v)) {
+		for i := range v {
+			v[i] = int(int64(binary.LittleEndian.Uint64(w.buf[w.off:])))
+			w.off += 8
+		}
 	}
 }
 
-// Bools walks a fixed-length []bool in place.
+// Bools walks a fixed-length []bool in place, one 0/1 byte each.
 func (w *Walker) Bools(v []bool) {
+	if w.encoding {
+		if w.err == nil {
+			if off := w.reserve(len(v)); off >= 0 {
+				for i, x := range v {
+					var u uint8
+					if x {
+						u = 1
+					}
+					w.buf[off+i] = u
+				}
+			}
+		}
+		return
+	}
 	for i := range v {
 		w.Bool(&v[i])
 	}

@@ -189,3 +189,38 @@ func TestStaticIsANoOp(t *testing.T) {
 		t.Fatalf("Static wrote %d bytes (err %v); want none", len(blob), err)
 	}
 }
+
+// TestSizeAndAppendEncoder pins the one-buffer encode the simulator's
+// snapshots use: Size counts exactly the bytes NewEncoder produces, and
+// an AppendEncoder over a reserved header emits the same stream after
+// it — presized, or grown from a buffer too small for it.
+func TestSizeAndAppendEncoder(t *testing.T) {
+	in := sample()
+	enc := NewEncoder()
+	in.snapshotWalk(enc)
+	want, err := enc.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Size(in.snapshotWalk)
+	if err != nil || n != len(want) {
+		t.Fatalf("Size = %d, %v; encoder produced %d bytes", n, err, len(want))
+	}
+	hdr := []byte("HDR")
+	for _, capacity := range []int{len(hdr) + n, len(hdr)} {
+		dst := make([]byte, len(hdr), capacity)
+		copy(dst, hdr)
+		w := AppendEncoder(dst)
+		in.snapshotWalk(w)
+		got, err := w.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:len(hdr)]) != string(hdr) || !reflect.DeepEqual(got[len(hdr):], want) {
+			t.Fatalf("cap %d: AppendEncoder stream differs from NewEncoder's", capacity)
+		}
+		if capacity > len(hdr) && &got[0] != &dst[0] {
+			t.Fatal("presized AppendEncoder reallocated its buffer")
+		}
+	}
+}

@@ -92,7 +92,6 @@ func benchFleet(n int, b experiment.Budget) (cold, warm stats.SweepRow, err erro
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(storeURL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	fabLis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -79,6 +79,10 @@ type Board struct {
 	nextLease uint64
 	//ppflint:guardedby mu
 	counters Counters
+	// wake is closed and replaced whenever a cell becomes leasable, so
+	// lease requests blocked on an empty queue retry (see Wake).
+	//ppflint:guardedby mu
+	wake chan struct{}
 	// leaseTimeout is how long a lease lives without completion before
 	// Expire requeues it.
 	leaseTimeout time.Duration
@@ -89,6 +93,7 @@ func NewBoard(leaseTimeout time.Duration) *Board {
 	return &Board{
 		cells:        make(map[string]*boardCell),
 		byLease:      make(map[uint64]*boardCell),
+		wake:         make(chan struct{}),
 		leaseTimeout: leaseTimeout,
 	}
 }
@@ -106,8 +111,18 @@ func (b *Board) Submit(key string, spec []byte) <-chan struct{} {
 	}
 	c := &boardCell{key: key, spec: spec, done: make(chan struct{})}
 	b.cells[key] = c
-	b.queue = append(b.queue, c)
+	b.enqueueLocked(c)
 	return c.done
+}
+
+// Wake returns a channel closed the next time a cell becomes leasable:
+// submitted, requeued or reopened. Take it before a Lease that finds
+// the queue empty, then wait on it; a cell queued between the two
+// calls has already closed it, so no wake-up is lost.
+func (b *Board) Wake() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.wake
 }
 
 // Lease grants the oldest queued cell to worker, stamping its deadline
@@ -213,7 +228,7 @@ func (b *Board) Reopen(key string) <-chan struct{} {
 	c.fails = 0
 	c.done = make(chan struct{})
 	b.counters.Reopens++
-	b.queue = append(b.queue, c)
+	b.enqueueLocked(c)
 	return c.done
 }
 
@@ -225,7 +240,17 @@ func (b *Board) requeueLocked(c *boardCell) {
 	c.worker = ""
 	c.leaseID = 0
 	b.counters.Requeues++
+	b.enqueueLocked(c)
+}
+
+// enqueueLocked appends a cell to the lease queue and wakes every
+// blocked lease request. Callers hold mu.
+//
+//ppflint:locked mu
+func (b *Board) enqueueLocked(c *boardCell) {
 	b.queue = append(b.queue, c)
+	close(b.wake)
+	b.wake = make(chan struct{})
 }
 
 // Counters returns a copy of the cumulative event counts.

@@ -188,3 +188,60 @@ func TestBoardReopen(t *testing.T) {
 		t.Fatal("Reopen of unknown key returned an open channel")
 	}
 }
+
+// TestBoardWakesBlockedLease pins every path that makes a cell
+// leasable: each closes the channel a lease request blocked on an empty
+// queue waits on, and the cell it queued is then leasable.
+func TestBoardWakesBlockedLease(t *testing.T) {
+	cases := []struct {
+		name string
+		// setup brings the board to an empty queue; act then queues a cell.
+		setup func(b *Board) uint64
+		act   func(b *Board, id uint64)
+	}{
+		{"Submit", func(b *Board) uint64 { return 0 },
+			func(b *Board, _ uint64) { b.Submit("cell", nil) }},
+		{"Expire", leaseOne,
+			func(b *Board, _ uint64) { b.Expire(boardClock.Add(2 * time.Minute)) }},
+		{"ReleaseWorker", leaseOne,
+			func(b *Board, _ uint64) { b.ReleaseWorker("w") }},
+		{"FailedComplete", leaseOne,
+			func(b *Board, id uint64) { b.Complete(id, false) }},
+		{"Reopen", func(b *Board) uint64 {
+			id := leaseOne(b)
+			b.Complete(id, true)
+			return id
+		}, func(b *Board, _ uint64) { b.Reopen("cell") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBoard(time.Minute)
+			id := tc.setup(b)
+			wake := b.Wake()
+			if _, _, ok := b.Lease("w2", boardClock); ok {
+				t.Fatal("setup left a leasable cell")
+			}
+			select {
+			case <-wake:
+				t.Fatal("wake channel closed with nothing queued")
+			default:
+			}
+			tc.act(b, id)
+			select {
+			case <-wake:
+			default:
+				t.Fatal("queueing a cell did not wake the blocked lease")
+			}
+			if _, _, ok := b.Lease("w2", boardClock); !ok {
+				t.Fatal("woken lease found nothing to lease")
+			}
+		})
+	}
+}
+
+// leaseOne submits one cell and leases it to worker "w".
+func leaseOne(b *Board) uint64 {
+	b.Submit("cell", nil)
+	id, _, _ := b.Lease("w", boardClock)
+	return id
+}

@@ -23,10 +23,9 @@ type Config struct {
 	Store simstore.Backend
 	// LeaseTimeout is how long a worker may hold a cell before the lease
 	// expires and the cell requeues (0 = 5 minutes, generous for the
-	// largest budgets).
+	// largest budgets). A quarter of it is both the janitor's expiry
+	// period and the longest a lease request blocks on an empty queue.
 	LeaseTimeout time.Duration
-	// WaitHint is the poll delay sent to idle workers (0 = 50ms).
-	WaitHint time.Duration
 	// MaxFrame bounds fabric frames (0 = 1 MiB).
 	MaxFrame int
 }
@@ -35,9 +34,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LeaseTimeout == 0 {
 		c.LeaseTimeout = 5 * time.Minute
-	}
-	if c.WaitHint == 0 {
-		c.WaitHint = 50 * time.Millisecond
 	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = defaultMaxFrame
@@ -68,7 +64,7 @@ type Coordinator struct {
 
 	board *Board
 	// stop signals the janitor and per-connection loops to wind down;
-	// workers polling for leases then receive opFabShutdown.
+	// workers waiting for leases then receive opFabShutdown.
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -148,7 +144,7 @@ func (c *Coordinator) Addr() net.Addr {
 	return c.lis.Addr()
 }
 
-// Close stops accepting, tells polling workers to shut down, and waits
+// Close stops accepting, tells waiting workers to shut down, and waits
 // for connection handlers to drain.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
@@ -275,17 +271,7 @@ func (c *Coordinator) dispatch(owner string, body []byte) (resp []byte, fatal bo
 		if err := w.Finish(); err != nil {
 			return encodeFabError(ErrFabBadFrame), true
 		}
-		select {
-		case <-c.stop:
-			return encodeShutdown(), false
-		default:
-		}
-		now := time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
-		id, spec, ok := c.board.Lease(owner, now)
-		if !ok {
-			return encodeWait(uint64(c.cfg.WaitHint / time.Millisecond)), false
-		}
-		return encodeCell(id, spec), false
+		return c.lease(owner), false
 	case opFabDone:
 		id, ok, err := decodeDone(w)
 		if err != nil {
@@ -302,6 +288,36 @@ func (c *Coordinator) dispatch(owner string, body []byte) (resp []byte, fatal bo
 	default:
 		return encodeFabError(&WireError{Code: CodeFabBadFrame,
 			Msg: fmt.Sprintf("unknown op 0x%02x", op)}), true
+	}
+}
+
+// lease answers one lease request: the oldest queued cell, leased to
+// owner. On an empty queue it blocks until a cell is queued, answering
+// opFabShutdown if the coordinator stops first and opFabWait once the
+// janitor's period (LeaseTimeout/4) passes. That bound exists for
+// liveness, not pacing: the reply is a write to the idle worker's
+// connection, which is how a dead idle peer gets noticed.
+func (c *Coordinator) lease(owner string) []byte {
+	timeout := time.NewTimer(c.cfg.LeaseTimeout / 4)
+	defer timeout.Stop()
+	for {
+		select {
+		case <-c.stop:
+			return encodeShutdown()
+		default:
+		}
+		wake := c.board.Wake()
+		now := time.Now() //ppflint:allow determinism lease deadlines are fleet liveness plumbing, not report data
+		if id, spec, ok := c.board.Lease(owner, now); ok {
+			return encodeCell(id, spec)
+		}
+		select {
+		case <-wake:
+		case <-c.stop:
+			return encodeShutdown()
+		case <-timeout.C:
+			return encodeWait()
+		}
 	}
 }
 

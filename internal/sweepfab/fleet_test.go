@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,6 @@ func fleetRun(t *testing.T, n int) (render string, counters Counters, workers []
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -126,7 +126,6 @@ func TestFleetWarmReplay(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -173,7 +172,6 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Store:        simstore.NewRemote(httpSrv.URL, nil),
 		LeaseTimeout: time.Minute,
-		WaitHint:     2 * time.Millisecond,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -196,18 +194,10 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	resultCh := make(chan sim.Result, 1)
 	go func() { resultCh <- coord.RunCell(spec) }()
 
-	// Wait until the crash worker holds the lease.
+	// The crash worker's lease blocks until RunCell submits the cell.
 	crash.send(encodeLease())
-	deadline := time.Now().Add(5 * time.Second) //ppflint:allow determinism test retry deadline
-	for {
-		if op := crash.recvOp(); op == opFabCell {
-			break
-		}
-		if time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
-			t.Fatal("crash worker never got the lease")
-		}
-		time.Sleep(2 * time.Millisecond)
-		crash.send(encodeLease())
+	if op := crash.recvOp(); op != opFabCell {
+		t.Fatalf("crash worker's lease answered op 0x%02x, want opFabCell", op)
 	}
 	crash.conn.Close()
 
@@ -249,6 +239,83 @@ func TestFleetCrashRerunsOnce(t *testing.T) {
 	}
 }
 
+// TestFleetDeadWaiterLosesNothing: a worker whose connection dies while
+// its lease request is blocked on an empty queue cannot swallow a cell.
+// Its handler only notices the dead peer when it writes the next reply;
+// if that reply is a cell, the failed connection requeues it, and the
+// cell runs exactly once, on a live worker.
+func TestFleetDeadWaiterLosesNothing(t *testing.T) {
+	serverStore, err := simstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := httptest.NewServer(simstore.Handler(serverStore))
+	defer httpSrv.Close()
+	coord := NewCoordinator(Config{Store: simstore.NewRemote(httpSrv.URL, nil), LeaseTimeout: time.Minute})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(lis)
+	defer coord.Close()
+
+	dead := dialRaw(t, lis.Addr().String())
+	dead.send(encodeHello("dead"))
+	dead.recvOp()
+	dead.send(encodeLease())
+	dead.conn.Close()
+
+	spec := experiment.NewCellSpec(sim.DefaultConfig(1), experiment.SchemeSPP,
+		workload.MustByName("641.leela_s"), 1, fleetBudget)
+	resultCh := make(chan sim.Result, 1)
+	go func() { resultCh <- coord.RunCell(spec) }()
+
+	// The dead connection's handler is the only waiter: it leases the
+	// cell, fails on the connection, and releases it.
+	deadline := time.Now().Add(5 * time.Second) //ppflint:allow determinism test retry deadline
+	for coord.Board().Counters().Disconnects == 0 {
+		if time.Now().After(deadline) { //ppflint:allow determinism test retry deadline
+			t.Fatalf("dead waiter never released its lease: %+v", coord.Board().Counters())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	var wg sync.WaitGroup
+	var stats WorkerStats
+	var werr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rc := experiment.NewRunCache()
+		rc.AttachStore(simstore.NewRemote(httpSrv.URL, nil))
+		stats, werr = RunWorker(lis.Addr().String(), WorkerConfig{Name: "live", Exec: experiment.Exec{Cache: rc}})
+	}()
+	r := <-resultCh
+	w, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiment.RunSingle(spec.Config, spec.Scheme, w, spec.Seed, spec.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r, want) {
+		t.Fatalf("fleet result %+v differs from local run %+v", r.PerCore[0], want.PerCore[0])
+	}
+	coord.Close()
+	wg.Wait()
+	if werr != nil {
+		t.Fatalf("live worker: %v", werr)
+	}
+	c := coord.Board().Counters()
+	if c.Leases != 2 || c.Disconnects != 1 || c.Requeues != 1 || c.Completions != 1 {
+		t.Fatalf("counters = %+v (want the dead lease requeued once, one completion)", c)
+	}
+	if stats.Cells != 1 {
+		t.Fatalf("live worker ran %d cells, want 1", stats.Cells)
+	}
+}
+
 // TestFleetCorruptPublishReopens: the coordinator re-runs a cell whose
 // published entry is corrupt, and the second publish heals it.
 func TestFleetCorruptPublishReopens(t *testing.T) {
@@ -256,7 +323,7 @@ func TestFleetCorruptPublishReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(Config{Store: st, LeaseTimeout: time.Minute, WaitHint: time.Millisecond})
+	coord := NewCoordinator(Config{Store: st, LeaseTimeout: time.Minute})
 	defer coord.Close()
 	spec := experiment.NewCellSpec(sim.DefaultConfig(1), experiment.SchemeNone,
 		workload.MustByName("641.leela_s"), 1, fleetBudget)

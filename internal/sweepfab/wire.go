@@ -44,7 +44,7 @@ const (
 const (
 	opFabWelcome  uint8 = 0x81 // payload: lease timeout in millis (uint64)
 	opFabCell     uint8 = 0x82 // payload: lease id (uint64) + cell spec (Len-prefixed bytes)
-	opFabWait     uint8 = 0x83 // payload: suggested poll delay in millis (uint64)
+	opFabWait     uint8 = 0x83 // payload: reserved uint64, always 0; the worker re-asks at once
 	opFabShutdown uint8 = 0x84 // payload: empty
 	opFabAck      uint8 = 0x85 // payload: empty
 	opFabErr      uint8 = 0xFF // payload: code byte + message (Len-prefixed bytes)
@@ -237,8 +237,9 @@ func encodeCell(leaseID uint64, spec []byte) []byte {
 }
 
 // encodeWait builds the nothing-to-lease response.
-func encodeWait(millis uint64) []byte {
-	return encodeFabBody(opFabWait, func(w *snap.Walker) { w.Uint64(&millis) })
+func encodeWait() []byte {
+	var reserved uint64
+	return encodeFabBody(opFabWait, func(w *snap.Walker) { w.Uint64(&reserved) })
 }
 
 // encodeShutdown builds the all-work-done response.

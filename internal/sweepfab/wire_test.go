@@ -164,7 +164,8 @@ func TestWireOversizedFrame(t *testing.T) {
 }
 
 func TestWireBadLeaseCompletion(t *testing.T) {
-	_, addr := startCoordinator(t, Config{})
+	c, addr := startCoordinator(t, Config{})
+	c.Board().Submit("cell", []byte("spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("w"))
 	r.recvOp()
@@ -172,15 +173,93 @@ func TestWireBadLeaseCompletion(t *testing.T) {
 	if err := r.recvErr(); !errors.Is(err, ErrFabBadLease) {
 		t.Fatalf("bogus completion: %v, want ErrFabBadLease", err)
 	}
-	// Survivable: the same connection still gets lease responses.
+	// Survivable: the same connection still gets leases.
 	r.send(encodeLease())
-	if op := r.recvOp(); op != opFabWait {
-		t.Fatalf("post-error lease response op 0x%02x, want opFabWait", op)
+	if op := r.recvOp(); op != opFabCell {
+		t.Fatalf("post-error lease response op 0x%02x, want opFabCell", op)
+	}
+}
+
+// TestWireBlockedLeaseGetsLaterSubmit: a lease request on an empty
+// queue blocks instead of answering opFabWait, and a cell submitted
+// later is handed to it at once, not after a poll delay.
+func TestWireBlockedLeaseGetsLaterSubmit(t *testing.T) {
+	c, addr := startCoordinator(t, Config{})
+	r := dialRaw(t, addr)
+	r.send(encodeHello("w"))
+	r.recvOp()
+	r.send(encodeLease())
+	time.Sleep(20 * time.Millisecond) // let the request reach the empty board
+	start := time.Now()               //ppflint:allow determinism test latency measurement
+	c.Board().Submit("cell", []byte("spec"))
+	if op := r.recvOp(); op != opFabCell {
+		t.Fatalf("blocked lease answered op 0x%02x, want opFabCell", op)
+	}
+	// The default wait bound is 75 s; anything near it means the handoff
+	// waited for a timeout rather than the submit's wake-up.
+	if d := time.Since(start); d > time.Second { //ppflint:allow determinism test latency measurement
+		t.Fatalf("submitted cell reached the blocked worker after %v", d)
+	}
+}
+
+// TestWireLeaseWaitBound: a lease request that finds nothing for the
+// whole wait bound is answered opFabWait(0), and the connection stays
+// usable for the worker's immediate re-ask.
+func TestWireLeaseWaitBound(t *testing.T) {
+	c, addr := startCoordinator(t, Config{LeaseTimeout: 40 * time.Millisecond})
+	r := dialRaw(t, addr)
+	r.send(encodeHello("w"))
+	r.recvOp()
+	r.send(encodeLease())
+	body, err := readFrame(r.br, defaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body[0] != opFabWait {
+		t.Fatalf("empty-queue lease answered op 0x%02x, want opFabWait", body[0])
+	}
+	if v, err := decodeUint64Body(snap.NewDecoder(body[1:])); err != nil || v != 0 {
+		t.Fatalf("opFabWait payload = %d, %v; want 0", v, err)
+	}
+	c.Board().Submit("cell", []byte("spec"))
+	r.send(encodeLease())
+	if op := r.recvOp(); op != opFabCell {
+		t.Fatalf("re-asked lease answered op 0x%02x, want opFabCell", op)
+	}
+}
+
+// TestWireCloseUnblocksWaiters: closing the coordinator answers every
+// blocked lease request with opFabShutdown.
+func TestWireCloseUnblocksWaiters(t *testing.T) {
+	c, addr := startCoordinator(t, Config{})
+	conns := make([]*rawConn, 3)
+	for i := range conns {
+		conns[i] = dialRaw(t, addr)
+		conns[i].send(encodeHello("w"))
+		conns[i].recvOp()
+		conns[i].send(encodeLease())
+	}
+	time.Sleep(20 * time.Millisecond) // let the requests reach the empty board
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	for i, r := range conns {
+		if op := r.recvOp(); op != opFabShutdown {
+			t.Fatalf("waiter %d answered op 0x%02x, want opFabShutdown", i, op)
+		}
+		r.conn.Close()
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after its waiters were shut down")
 	}
 }
 
 func TestWireLeaseGrantAndCompletion(t *testing.T) {
-	c, addr := startCoordinator(t, Config{WaitHint: time.Millisecond})
+	c, addr := startCoordinator(t, Config{})
 	done := c.Board().Submit("cell-key", []byte("cell-spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("w"))
@@ -214,7 +293,7 @@ func TestWireLeaseGrantAndCompletion(t *testing.T) {
 // TestWireDisconnectRequeues: dropping a connection mid-lease returns
 // the cell to the queue for the next worker.
 func TestWireDisconnectRequeues(t *testing.T) {
-	c, addr := startCoordinator(t, Config{WaitHint: time.Millisecond})
+	c, addr := startCoordinator(t, Config{})
 	c.Board().Submit("cell", []byte("spec"))
 	r := dialRaw(t, addr)
 	r.send(encodeHello("doomed"))
@@ -252,7 +331,7 @@ func TestFrameSizeBounds(t *testing.T) {
 		"done":     encodeDone(1, true),
 		"welcome":  encodeWelcome(300_000),
 		"cell":     encodeCell(7, make([]byte, 512)),
-		"wait":     encodeWait(50),
+		"wait":     encodeWait(),
 		"shutdown": encodeShutdown(),
 		"ack":      encodeAck(),
 		"err":      encodeFabError(ErrFabBadLease),

@@ -34,7 +34,8 @@ type WorkerStats struct {
 	Cells uint64
 	// Failed counts leased cells whose simulation failed (bad spec).
 	Failed uint64
-	// Waits counts empty-queue polls.
+	// Waits counts opFabWait replies: lease requests that found the
+	// queue empty for the coordinator's whole wait bound.
 	Waits uint64
 	// StaleLeases counts completions the coordinator voided (the lease
 	// expired and was re-issued while this worker was simulating).
@@ -162,12 +163,10 @@ func (w *workerConn) loop(stats *WorkerStats) error {
 		case opFabShutdown:
 			return nil
 		case opFabWait:
-			millis, err := decodeUint64Body(dec)
-			if err != nil {
+			if _, err := decodeUint64Body(dec); err != nil {
 				return err
 			}
 			stats.Waits++
-			time.Sleep(time.Duration(millis) * time.Millisecond)
 		case opFabCell:
 			leaseID, specBytes, err := decodeCell(dec, frameLen)
 			if err != nil {
